@@ -1,8 +1,8 @@
 """Batch-execute backend: cold-run speed on a stall-heavy co-run.
 
 The baseline is the reference dispatcher with every other accelerator a
-batch run would subsume also disabled (``REPRO_NO_BATCH_EXEC=1`` plus
-``REPRO_NO_EVENT_WHEEL=1``): each cycle walks every in-flight window
+batch run would subsume also disabled (engine ``batch_exec`` and
+``event_wheel`` off): each cycle walks every in-flight window
 entry per core, re-deciding budgets, renaming and memory admission one
 lane-operation at a time — and re-scanning full stalled windows for
 nothing.  The fast run enables only the batch backend: pools keep the
@@ -23,9 +23,11 @@ bit-identical; batch execution must be at least 2x faster.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from benchmarks.conftest import banner, record_bench, run_once
 from repro.common.config import experiment_config
+from repro.core.engine import FULL_ENGINE
 from repro.core.machine import Machine
 from repro.core.policies import policy
 from tests.conftest import (
@@ -44,13 +46,10 @@ DOT_REPEATS = 96
 MIN_SPEEDUP = 2.0
 
 
-def _run(monkeypatch, batch_exec):
-    monkeypatch.setenv("REPRO_NO_LOOP_REPLAY", "1")
-    monkeypatch.setenv("REPRO_NO_EVENT_WHEEL", "1")
-    if batch_exec:
-        monkeypatch.delenv("REPRO_NO_BATCH_EXEC", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_BATCH_EXEC", "1")
+def _run(batch_exec):
+    engine = replace(
+        FULL_ENGINE, fast_path=False, event_wheel=False, batch_exec=batch_exec
+    )
     config = experiment_config(num_cores=NUM_CORES)
     jobs = [
         compiled_job(make_axpy(STREAM_LENGTH), 0),
@@ -58,18 +57,18 @@ def _run(monkeypatch, batch_exec):
         compiled_job(make_stencil(STENCIL_LENGTH), 2),
         compiled_job(make_reduction(DOT_LENGTH, DOT_REPEATS), 3),
     ]
-    machine = Machine(config, policy("occamy"), jobs)
+    machine = Machine(config, policy("occamy"), jobs, engine=engine)
     result = machine.run()
     return result, machine.profile
 
 
-def test_batch_exec_speedup(benchmark, monkeypatch):
+def test_batch_exec_speedup(benchmark):
     start = time.perf_counter()
-    slow_result, _ = _run(monkeypatch, batch_exec=False)
+    slow_result, _ = _run(batch_exec=False)
     slow_seconds = time.perf_counter() - start
 
     def fast():
-        return _run(monkeypatch, batch_exec=True)
+        return _run(batch_exec=True)
 
     start = time.perf_counter()
     fast_result, profile = run_once(benchmark, fast)

@@ -1,6 +1,6 @@
 """Tickless event wheel: cold-run speed on a mixed-bound co-run.
 
-The baseline is the reference run loop (``REPRO_NO_EVENT_WHEEL=1``): every
+The baseline is the reference run loop (engine ``event_wheel`` off): every
 cycle steps every component and every stalled window is re-scanned in
 full.  The fast run uses the tickless engine — per-component sleep/wake on
 the event wheel plus ready-set dispatch indexing.  Loop replay is disabled
@@ -19,9 +19,11 @@ at least 2x faster.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from benchmarks.conftest import banner, record_bench, run_once
 from repro.common.config import experiment_config
+from repro.core.engine import FULL_ENGINE
 from repro.core.machine import Machine
 from repro.core.policies import policy
 from tests.conftest import compiled_job, make_axpy, make_reduction, run_fingerprint
@@ -33,12 +35,8 @@ DOT_REPEATS = 160
 MIN_SPEEDUP = 2.0
 
 
-def _run(monkeypatch, event_wheel):
-    monkeypatch.setenv("REPRO_NO_LOOP_REPLAY", "1")
-    if event_wheel:
-        monkeypatch.delenv("REPRO_NO_EVENT_WHEEL", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_EVENT_WHEEL", "1")
+def _run(event_wheel):
+    engine = replace(FULL_ENGINE, fast_path=False, event_wheel=event_wheel)
     config = experiment_config(num_cores=NUM_CORES)
     jobs = [
         compiled_job(make_axpy(STREAM_LENGTH), 0),
@@ -46,18 +44,18 @@ def _run(monkeypatch, event_wheel):
         compiled_job(make_axpy(STREAM_LENGTH), 2),
         compiled_job(make_reduction(DOT_LENGTH, DOT_REPEATS), 3),
     ]
-    machine = Machine(config, policy("occamy"), jobs)
+    machine = Machine(config, policy("occamy"), jobs, engine=engine)
     result = machine.run()
     return result, machine.profile
 
 
-def test_event_wheel_speedup(benchmark, monkeypatch):
+def test_event_wheel_speedup(benchmark):
     start = time.perf_counter()
-    slow_result, _ = _run(monkeypatch, event_wheel=False)
+    slow_result, _ = _run(event_wheel=False)
     slow_seconds = time.perf_counter() - start
 
     def fast():
-        return _run(monkeypatch, event_wheel=True)
+        return _run(event_wheel=True)
 
     start = time.perf_counter()
     fast_result, profile = run_once(benchmark, fast)

@@ -1,8 +1,8 @@
 """Busy-cycle fast path: cold-run speed on a steady-loop co-run.
 
 The baseline is the seed execution engine — the ``isinstance``-chain
-scalar interpreter (``REPRO_NO_PRE_DECODE=1``) with loop replay off
-(``fast_path=False``).  The fast run uses the defaults: pre-decoded
+scalar interpreter (engine ``pre_decode`` off) with loop replay off
+(``fast_path`` off).  The fast run uses the full stack: pre-decoded
 dispatch plus steady-state loop replay.  Both must produce bit-identical
 results; the fast run must be at least 2x faster.
 
@@ -14,9 +14,11 @@ the co-run locks into a joint steady state the replay engine can hold.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from benchmarks.conftest import banner, record_bench, run_once
 from repro.common.config import experiment_config
+from repro.core.engine import FULL_ENGINE
 from repro.core.machine import Machine
 from repro.core.policies import policy
 from tests.conftest import compiled_job, make_axpy, run_fingerprint
@@ -26,26 +28,24 @@ REPEATS = 64
 MIN_SPEEDUP = 2.0
 
 
-def _run(fast_path):
+def _run(engine):
     config = experiment_config()
     jobs = [
         compiled_job(make_axpy(LENGTH, REPEATS), 0),
         compiled_job(make_axpy(LENGTH, REPEATS), 1),
     ]
-    machine = Machine(config, policy("occamy"), jobs)
-    result = machine.run(fast_path=fast_path)
+    machine = Machine(config, policy("occamy"), jobs, engine=engine)
+    result = machine.run()
     return result, machine.profile
 
 
-def test_loop_replay_speedup(benchmark, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_PRE_DECODE", "1")
+def test_loop_replay_speedup(benchmark):
     start = time.perf_counter()
-    slow_result, _ = _run(fast_path=False)
+    slow_result, _ = _run(replace(FULL_ENGINE, pre_decode=False, fast_path=False))
     slow_seconds = time.perf_counter() - start
-    monkeypatch.delenv("REPRO_NO_PRE_DECODE")
 
     def fast():
-        return _run(fast_path=True)
+        return _run(FULL_ENGINE)
 
     start = time.perf_counter()
     fast_result, profile = run_once(benchmark, fast)

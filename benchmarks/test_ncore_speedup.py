@@ -1,12 +1,10 @@
 """O(active-work) engine stack: cold-run speed on a 16-core mixed co-run.
 
-The baseline is the seed-path engine — every construction-time
-accelerator killed (``REPRO_NO_PRE_DECODE``, ``REPRO_NO_EVENT_WHEEL``,
-``REPRO_NO_BATCH_EXEC``, ``REPRO_NO_HIER_WHEEL``, ``REPRO_NO_LANE_SHARDS``)
-and the run-time fast paths off — so every cycle steps every core, scans
-the full lane pool and ticks per-core metrics.  The fast run is the
-default stack, whose per-cycle cost tracks the components that actually
-have work: the hierarchical wake index skips sleeping cores in one step,
+The baseline is the seed-path engine (``BASELINE_ENGINE``: every engine
+layer off) — so every cycle steps every core, scans the full lane pool
+and ticks per-core metrics.  The fast run is the default stack
+(``FULL_ENGINE``), whose per-cycle cost tracks the components that
+actually have work: the event wheel skips sleeping cores in one step,
 sharded lane bookkeeping keeps repartitions off the full-pool scan, and
 metric settling batches per touched core.
 
@@ -28,6 +26,7 @@ import time
 
 from benchmarks.conftest import banner, record_bench, run_once
 from repro.common.config import experiment_config
+from repro.core.engine import BASELINE_ENGINE, FULL_ENGINE
 from repro.core.machine import Machine
 from repro.core.policies import policy
 from tests.conftest import compiled_job, make_axpy, make_reduction, run_fingerprint
@@ -38,16 +37,6 @@ STREAM_LENGTH = 6144  # 2 x 24 KiB arrays per core: misses the scaled L2
 DOT_LENGTH = 256  # Vec-Cache resident
 DOT_REPEATS = 48
 MIN_SPEEDUP = 3.0
-
-#: Every construction-time engine kill switch (the run-time fast paths —
-#: idle fast-forward and loop replay — are ``Machine.run`` arguments).
-CONSTRUCTION_SWITCHES = (
-    "REPRO_NO_PRE_DECODE",
-    "REPRO_NO_EVENT_WHEEL",
-    "REPRO_NO_BATCH_EXEC",
-    "REPRO_NO_HIER_WHEEL",
-    "REPRO_NO_LANE_SHARDS",
-)
 
 
 def _jobs(num_cores):
@@ -60,27 +49,19 @@ def _jobs(num_cores):
     return jobs
 
 
-def _run(monkeypatch, num_cores, seed_engine):
-    for var in CONSTRUCTION_SWITCHES:
-        if seed_engine:
-            monkeypatch.setenv(var, "1")
-        else:
-            monkeypatch.delenv(var, raising=False)
+def _run(num_cores, engine):
     config = experiment_config(num_cores=num_cores)
-    machine = Machine(config, policy("occamy"), _jobs(num_cores))
-    result = machine.run(
-        fast_forward=not seed_engine, fast_path=not seed_engine
-    )
-    return result, machine.profile
+    machine = Machine(config, policy("occamy"), _jobs(num_cores), engine=engine)
+    return machine.run(), machine.profile
 
 
-def test_ncore_speedup(benchmark, monkeypatch):
+def test_ncore_speedup(benchmark):
     start = time.perf_counter()
-    slow_result, _ = _run(monkeypatch, GATE_CORES, seed_engine=True)
+    slow_result, _ = _run(GATE_CORES, BASELINE_ENGINE)
     slow_seconds = time.perf_counter() - start
 
     def fast():
-        return _run(monkeypatch, GATE_CORES, seed_engine=False)
+        return _run(GATE_CORES, FULL_ENGINE)
 
     start = time.perf_counter()
     fast_result, profile = run_once(benchmark, fast)
@@ -95,7 +76,7 @@ def test_ncore_speedup(benchmark, monkeypatch):
             seconds, cycles = fast_seconds, fast_result.total_cycles
         else:
             start = time.perf_counter()
-            scaled_result, _ = _run(monkeypatch, num_cores, seed_engine=False)
+            scaled_result, _ = _run(num_cores, FULL_ENGINE)
             seconds = time.perf_counter() - start
             cycles = scaled_result.total_cycles
         extra[f"fast_seconds_{num_cores}"] = round(seconds, 4)

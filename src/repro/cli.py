@@ -32,13 +32,13 @@ Commands
     omits the (simulation-running) ECM sweep.
 ``diff-fuzz``
     Cross-engine differential fuzzing: random co-run programs executed
-    through every fast-path combination (ninety-five engines: pre-decode
-    x fast-forward x loop-replay x event-wheel x batch-exec x
-    hierarchical-wheel x lane-shards, minus the hier-without-wheel
-    duplicates) under every sharing mode, full run fingerprints diffed
+    through every fast-path combination (``len(FAST_ENGINES)`` engines,
+    the non-baseline product of the ``ENGINE_KILL_SWITCH_ENV`` axes:
+    pre-decode x fast-forward x loop-replay x event-wheel x batch-exec x
+    lane-shards) under every sharing mode, full run fingerprints diffed
     against the seed interpreter.  ``--cores N`` widens the generated
     co-runs to N-core machines; ``--engines key`` restricts the sweep to
-    the curated high-signal combinations for expensive smokes.
+    the full stack plus one leave-one-out per layer for expensive smokes.
     Diverging cases are shrunk to minimal repros and emitted as
     regression tests.
 ``alloc-sweep``
@@ -453,7 +453,6 @@ def _cmd_diff_fuzz(args: argparse.Namespace) -> int:
             for line in divergence.detail:
                 print(f"    {line}")
     if not report.clean and not args.no_shrink:
-        from repro.validation.difftest import EngineSpec
         from repro.validation.shrink import shrink_case, write_regression_test
 
         engines_by_label = {engine.label: engine for engine in FAST_ENGINES}
@@ -1097,6 +1096,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_report.set_defaults(func=_cmd_perf_report)
 
+    from repro.validation.difftest import FAST_ENGINES, KEY_ENGINES
+
     diff_fuzz = sub.add_parser(
         "diff-fuzz",
         help="cross-engine differential fuzzing",
@@ -1129,10 +1130,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     diff_fuzz.add_argument(
         "--engines", choices=("all", "key"), default="all",
-        help="'all' diffs every fast-path combination (ninety-five "
-        "engines); 'key' only the curated high-signal combos — "
-        "everything-on, the prior-generation stack, each new axis "
-        "alone and each left out (default all)",
+        help=f"'all' diffs every fast-path combination ({len(FAST_ENGINES)} "
+        f"engines); 'key' only the {len(KEY_ENGINES)} high-signal ones — "
+        "the full stack and each layer left out (default all)",
     )
     diff_fuzz.add_argument(
         "--report", default=None, metavar="OUT.json",

@@ -63,10 +63,8 @@ class CoProcessor:
         lane_manager: "LaneManagerProtocol",
         indexed: bool = False,
         batch_exec: bool = False,
-        lane_shards: Optional[bool] = None,
+        lane_shards: bool = True,
     ) -> None:
-        from repro.core.partition import default_lane_shards
-
         self.config = config
         self.mode = mode
         self.metrics = metrics
@@ -94,17 +92,13 @@ class CoProcessor:
             )
             for c in range(num_cores)
         ]
-        #: Opcode-grouped dispatch/commit backend (``REPRO_NO_BATCH_EXEC``).
+        #: Opcode-grouped dispatch/commit backend (engine ``batch_exec``).
         self._batch = BatchExecutor(self) if batch_exec else None
-        #: Sharded-bookkeeping switch (``REPRO_NO_LANE_SHARDS``), latched at
-        #: construction like the other engine axes.  When on, the pools push
+        #: Sharded bookkeeping (engine ``lane_shards``): the pools push
         #: 0↔non-zero occupancy transitions into :attr:`_busy_pools` so CTS
         #: arbitration asks "who has work" in O(busy cores) instead of
         #: scanning every pool each cycle.
-        self._lane_shards = (
-            default_lane_shards() if lane_shards is None else lane_shards
-        )
-        self._busy_pools: Optional[Set[int]] = set() if self._lane_shards else None
+        self._busy_pools: Optional[Set[int]] = set() if lane_shards else None
         if self._busy_pools is not None:
             busy_pools = self._busy_pools
 
@@ -214,30 +208,24 @@ class CoProcessor:
     def step(
         self,
         cycle: int,
-        awake: Optional[List[bool]] = None,
         core_events: Optional[List[int]] = None,
         active: Optional[List[int]] = None,
     ) -> int:
         """Advance one cycle; returns the number of events processed.
 
-        ``awake`` (tickless engine only) masks out sleeping core complexes:
-        their commit/EM-SIMD/dispatch phases are skipped entirely — their
-        per-cycle metric events are settled in bulk when they wake.
         ``core_events`` when provided accumulates per-core event counts so
         the scheduler can make per-component sleep decisions.  ``active``
-        (hierarchical-wheel engine) is the machine's sorted awake-live core
-        list: the per-core phases walk it instead of every core slot, so a
+        (tickless engine only) is the machine's sorted list of awake live
+        cores: the per-core phases walk it instead of every core slot, so a
         cycle costs O(components with work).  Cores absent from it are
-        either asleep (the ``awake`` mask skips them anyway) or done/absent
-        (provably no-ops in every phase: empty pool, inactive core flag,
-        lazily-drained LSU).
+        either asleep — their per-cycle metric events are settled in bulk
+        when they wake — or done/absent (provably no-ops in every phase:
+        empty pool, inactive core flag, lazily-drained LSU).
         """
         events = 0
         recorder = self.recorder
         cores = active if active is not None else range(self.config.num_cores)
         for core in cores:
-            if awake is not None and not awake[core]:
-                continue
             self.lsus[core].on_cycle(cycle)
             if self._batch is not None and recorder is None:
                 committed = self._batch.commit_core(core, cycle)
@@ -252,14 +240,13 @@ class CoProcessor:
             if core_events is not None:
                 core_events[core] += committed
             events += committed
-        events += self._execute_emsimd(cycle, awake, core_events, active)
-        events += self._dispatch(cycle, awake, core_events, active)
+        events += self._execute_emsimd(cycle, core_events, active)
+        events += self._dispatch(cycle, core_events, active)
         return events
 
     def _execute_emsimd(
         self,
         cycle: int,
-        awake: Optional[List[bool]] = None,
         core_events: Optional[List[int]] = None,
         active: Optional[List[int]] = None,
     ) -> int:
@@ -267,8 +254,6 @@ class CoProcessor:
         events = 0
         cores = active if active is not None else range(self.config.num_cores)
         for core in cores:
-            if awake is not None and not awake[core]:
-                continue
             pool = self.pools[core]
             head = pool.head()
             if head is None or not head.is_emsimd or head.state is not EntryState.WAITING:
@@ -380,7 +365,6 @@ class CoProcessor:
     def _dispatch(
         self,
         cycle: int,
-        awake: Optional[List[bool]] = None,
         core_events: Optional[List[int]] = None,
         active: Optional[List[int]] = None,
     ) -> int:
@@ -390,21 +374,18 @@ class CoProcessor:
             switches_before = self.cts_switches
             owner = self._cts_arbitrate(cycle)
             if (
-                awake is not None
-                and self.cts_switches != switches_before
+                self.cts_switches != switches_before
                 and self.wake_all_hook is not None
             ):
                 # An ownership switch changes sleepers' per-cycle stall
                 # attribution from this very cycle on: settle and wake them
-                # (in place, through the shared ``awake`` list) before
+                # (in place, through the shared ``active`` list) before
                 # dispatching.
                 self.wake_all_hook(cycle)
             # The mid-cycle wake mutates ``active`` in place (via the
             # machine's settle path), so read it only afterwards.
             cores = active if active is not None else range(self.config.num_cores)
             for core in cores:
-                if awake is not None and not awake[core]:
-                    continue
                 if core == owner:
                     budget = {
                         "compute": vector.compute_issue_width,
@@ -427,8 +408,6 @@ class CoProcessor:
         else:
             shared_budget = None
         for core in self._core_order(active):
-            if awake is not None and not awake[core]:
-                continue
             # Spatial modes get a fresh per-core budget, built lazily so a
             # mostly-idle wide machine does not allocate ``num_cores`` dicts
             # every cycle; temporal sharing keeps the one shared budget.

@@ -14,11 +14,10 @@ for every core:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.coproc.resource_table import ResourceTable
-from repro.core.partition import default_lane_shards, greedy_partition
+from repro.core.partition import greedy_partition
 from repro.core.roofline import RooflineModel
 
 
@@ -29,14 +28,13 @@ class ElasticLaneManager:
         self,
         roofline: RooflineModel,
         total_lanes: int,
-        sharded: Optional[bool] = None,
+        sharded: bool = True,
     ) -> None:
         self.roofline = roofline
         self.total_lanes = total_lanes
-        #: Bulk-round partition switch (``REPRO_NO_LANE_SHARDS``), latched
-        #: at construction like every engine axis — repartitions happen at
-        #: runtime, when the kill-switch environment is no longer in scope.
-        self.sharded = default_lane_shards() if sharded is None else sharded
+        #: Bulk-round partition switch (engine ``lane_shards``; the machine
+        #: sets it from its :class:`~repro.core.engine.EngineSpec`).
+        self.sharded = sharded
         self.plans_generated = 0
         self.plan_history: List[Tuple[int, Dict[int, int]]] = []
 

@@ -9,22 +9,18 @@ halts and drains.
 from __future__ import annotations
 
 import math
-import os
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.config import MachineConfig, default_batch_exec
+from repro.common.config import MachineConfig
 from repro.common.errors import DeadlockError, SimulationError
 from repro.coproc.coprocessor import CoProcessor, SharingMode
 from repro.coproc.metrics import Metrics
+from repro.core.engine import EngineSpec
+from repro.core.lane_manager import ElasticLaneManager
 from repro.core.policies import Policy
-from repro.core.replay import (
-    GLOBAL_PROFILE,
-    ReplayController,
-    ReplayProfile,
-    default_loop_replay,
-)
+from repro.core.replay import GLOBAL_PROFILE, ReplayController, ReplayProfile
 from repro.core.scalar_core import ScalarCore
 from repro.isa.program import Program
 from repro.memory.image import MemoryImage
@@ -32,41 +28,6 @@ from repro.validation.invariants import InvariantAuditor, audit_enabled
 
 #: Cycles without any retire/dispatch/commit before declaring deadlock.
 DEADLOCK_WINDOW = 100_000
-
-
-def default_fast_forward() -> bool:
-    """Whether :meth:`Machine.run` fast-forwards idle cycles by default.
-
-    On unless ``REPRO_NO_FAST_FORWARD`` is set (to any non-empty value);
-    the two modes are bit-identical — the switch exists for the
-    determinism test layer and for debugging the fast-forward itself.
-    """
-    return not os.environ.get("REPRO_NO_FAST_FORWARD")
-
-
-def default_event_wheel() -> bool:
-    """Whether :meth:`Machine.run` uses the tickless event-wheel scheduler.
-
-    On unless ``REPRO_NO_EVENT_WHEEL`` is set (to any non-empty value).
-    The tickless engine — per-component sleep/wake plus ready-set dispatch
-    indexing — is bit-identical to the cycle-by-cycle interpreter; the kill
-    switch exists for the differential-fuzz engine matrix and debugging.
-    """
-    return not os.environ.get("REPRO_NO_EVENT_WHEEL")
-
-
-def default_hier_wheel() -> bool:
-    """Whether the tickless engine uses the hierarchical wake index.
-
-    On unless ``REPRO_NO_HIER_WHEEL`` is set (to any non-empty value).
-    The hierarchical wheel groups components into complexes under a
-    top-level heap and keeps an *active list* of awake live cores so every
-    per-cycle loop costs O(components with work), not O(num_cores).  It is
-    bit-identical to the flat :class:`~repro.core.scheduling.EventWheel`
-    path; the kill switch exists for the differential-fuzz engine matrix.
-    Only meaningful when the event wheel itself is enabled.
-    """
-    return not os.environ.get("REPRO_NO_HIER_WHEEL")
 
 
 @dataclass
@@ -115,9 +76,7 @@ class Machine:
         policy: Policy,
         jobs: Sequence[Optional[Job]],
         audit: Optional[bool] = None,
-        event_wheel: Optional[bool] = None,
-        batch_exec: Optional[bool] = None,
-        hier_wheel: Optional[bool] = None,
+        engine: Optional[EngineSpec] = None,
     ) -> None:
         if len(jobs) != config.num_cores:
             raise SimulationError(
@@ -127,37 +86,29 @@ class Machine:
         self.config = config
         self.policy = policy
         self.jobs = list(jobs)
+        #: The engine layers this machine runs on, latched at construction.
+        self.engine = EngineSpec.from_env() if engine is None else engine
         phase_ois: Dict[int, list] = {
             core: list(job.program.meta.get("phase_ois", []))
             for core, job in enumerate(jobs)
             if job is not None
         }
         self.lane_manager = policy.build_lane_manager(config, phase_ois)
+        if isinstance(self.lane_manager, ElasticLaneManager):
+            self.lane_manager.sharded = self.engine.lane_shards
         self.metrics = Metrics(
             num_cores=config.num_cores,
             total_lanes=config.vector.total_lanes,
             pipes_per_lane=config.vector.compute_issue_width,
         )
-        #: Tickless event-wheel engine switch (``REPRO_NO_EVENT_WHEEL``).
-        self._event_wheel = (
-            default_event_wheel() if event_wheel is None else event_wheel
-        )
-        #: Batch-execute backend switch (``REPRO_NO_BATCH_EXEC``).
-        self._batch_exec = (
-            default_batch_exec() if batch_exec is None else batch_exec
-        )
-        #: Hierarchical wake-index switch (``REPRO_NO_HIER_WHEEL``); only
-        #: active on top of the event wheel.
-        self._hier_wheel = (
-            default_hier_wheel() if hier_wheel is None else hier_wheel
-        ) and self._event_wheel
         self.coproc = CoProcessor(
             config,
             policy.mode,
             self.metrics,
             self.lane_manager,
-            indexed=self._event_wheel,
-            batch_exec=self._batch_exec,
+            indexed=self.engine.event_wheel,
+            batch_exec=self.engine.batch_exec,
+            lane_shards=self.engine.lane_shards,
         )
         self._done: List[bool] = [job is None for job in jobs]
         # Per-component (core complex = scalar core + pool + LSU) sleep
@@ -171,9 +122,8 @@ class Machine:
             ()
         ] * num_cores
         self._wheel = None
-        #: Sorted list of awake live cores (hierarchical-wheel mode only);
-        #: ``None`` under the flat wheel and the reference engine.
-        self._active: Optional[List[int]] = None
+        #: Sorted list of awake live cores (event-wheel engine only).
+        self._active: List[int] = []
         self._comp_busy: List[int] = [0] * num_cores
         self._comp_idle: List[int] = [0] * num_cores
         self._comp_asleep: List[int] = [0] * num_cores
@@ -205,6 +155,7 @@ class Machine:
                         coproc=self.coproc,
                         metrics=self.metrics,
                         config=config.core,
+                        pre_decode=self.engine.pre_decode,
                     )
                 )
 
@@ -288,30 +239,21 @@ class Machine:
             return cycle + skipped
         return cycle
 
-    def run(
-        self,
-        max_cycles: int = 3_000_000,
-        fast_forward: Optional[bool] = None,
-        fast_path: Optional[bool] = None,
-    ) -> RunResult:
+    def run(self, max_cycles: int = 3_000_000) -> RunResult:
         """Simulate until every workload halts and drains.
 
-        ``fast_forward`` elides stretches of cycles in which no core and no
-        co-processor structure can make progress (memory-latency drains,
-        EM-SIMD barriers) by jumping the clock to the next scheduled event.
+        The engine layers of :attr:`engine` decide how: ``fast_forward``
+        elides stretches of cycles in which no core and no co-processor
+        structure can make progress (memory-latency drains, EM-SIMD
+        barriers) by jumping the clock to the next scheduled event, and
         ``fast_path`` additionally replays whole steady-state loop
         iterations from a verified event template (see
-        :mod:`repro.core.replay`) and defaults to
-        :func:`~repro.core.replay.default_loop_replay`.  Both switches are
-        bit-identical to the cycle-by-cycle loop — the determinism suite
-        asserts it.
+        :mod:`repro.core.replay`).  Every layer is bit-identical to the
+        cycle-by-cycle loop — the determinism suite asserts it.
         """
-        if fast_forward is None:
-            fast_forward = default_fast_forward()
-        if fast_path is None:
-            fast_path = default_loop_replay()
-        replay = ReplayController(self) if fast_path else None
-        if self._event_wheel:
+        fast_forward = self.engine.fast_forward
+        replay = ReplayController(self) if self.engine.fast_path else None
+        if self.engine.event_wheel:
             cycle = self._run_wheel(max_cycles, fast_forward, replay)
         else:
             cycle = self._run_reference(max_cycles, fast_forward, replay)
@@ -405,24 +347,22 @@ class Machine:
         or replays.  Bit-identical to :meth:`_run_reference` (the
         differential fuzzer diffs the two engines).
         """
-        from repro.core.scheduling import EventWheel, HierarchicalEventWheel
+        from repro.core.scheduling import HierarchicalEventWheel
 
-        num_cores = self.config.num_cores
         metrics = self.metrics
         coproc = self.coproc
-        wheel = HierarchicalEventWheel() if self._hier_wheel else EventWheel()
+        wheel = HierarchicalEventWheel()
         self._wheel = wheel
         awake = self._awake
-        live = [
+        active = self._active = [
             core_id
             for core_id, core in enumerate(self.cores)
             if core is not None and not self._done[core_id]
         ]
-        self._live_count = len(live)
-        self._active = live if self._hier_wheel else None
+        self._live_count = len(active)
         sleep_allowed = coproc.mode is not SharingMode.TEMPORAL
         coproc.wake_all_hook = self._wake_all_mid_cycle
-        core_events = [0] * num_cores
+        core_events = [0] * self.config.num_cores
         cycle = 0
         last_progress = 0
         try:
@@ -484,17 +424,8 @@ class Machine:
                         # reference engine would.
                         cycle = self._fast_forward(cycle, last_progress, max_cycles)
                 if sleep_allowed and (replay is None or not replay.engaged):
-                    active = self._active
-                    candidates = (
-                        range(num_cores) if active is None else tuple(active)
-                    )
-                    for component in candidates:
-                        if (
-                            not awake[component]
-                            or self._done[component]
-                            or self.cores[component] is None
-                            or core_events[component]
-                        ):
+                    for component in tuple(active):
+                        if core_events[component]:
                             continue
                         wake = self._component_wake(component, cycle)
                         if wake is not None and wake <= cycle + 1:
@@ -505,8 +436,7 @@ class Machine:
                         self._sleep_events[component] = metrics.core_idle_events(
                             component
                         )
-                        if active is not None:
-                            active.remove(component)
+                        active.remove(component)
                         if wake is not None:
                             wheel.schedule(component, wake)
                 cycle += 1
@@ -518,42 +448,25 @@ class Machine:
     def _step_wheel(self, cycle: int, core_events: List[int]) -> int:
         """One tickless cycle: step only awake components.
 
-        With the hierarchical wheel the three per-core loops walk the
-        sorted active list instead of every core slot, so a cycle costs
-        O(awake components); ``core_events`` is still reset for *all* slots
-        because a mid-cycle CTS wake can re-activate a sleeper whose entry
-        must read zero.  The active list is mutated in place by done
-        detection here and by :meth:`_settle` on mid-cycle wakes, so both
-        post-dispatch loops walk snapshots.
+        The three per-core loops walk the sorted active list instead of
+        every core slot, so a cycle costs O(awake components);
+        ``core_events`` is still reset for *all* slots because a mid-cycle
+        CTS wake can re-activate a sleeper whose entry must read zero.  The
+        active list is mutated in place by done detection here and by
+        :meth:`_settle` on mid-cycle wakes, so both post-dispatch loops walk
+        snapshots.
         """
-        awake = self._awake
         active = self._active
         for component in range(len(core_events)):
             core_events[component] = 0
         progress = 0
         cores = self.cores
-        if active is None:
-            stepping = [
-                core_id
-                for core_id, core in enumerate(cores)
-                if core is not None and not self._done[core_id] and awake[core_id]
-            ]
-        else:
-            stepping = active
-        for core_id in stepping:
+        for core_id in active:
             retired = cores[core_id].step(cycle)
             core_events[core_id] += retired
             progress += retired
-        progress += self.coproc.step(cycle, awake, core_events, active)
-        checklist = (
-            tuple(active)
-            if active is not None
-            else tuple(
-                core_id
-                for core_id, core in enumerate(cores)
-                if core is not None and not self._done[core_id] and awake[core_id]
-            )
-        )
+        progress += self.coproc.step(cycle, core_events, active)
+        checklist = tuple(active)
         for core_id in checklist:
             core = cores[core_id]
             if core.halted and self.coproc.drained(core_id):
@@ -563,8 +476,7 @@ class Machine:
                 if self._loop_recorder is not None:
                     self._loop_recorder.on_core_done()
                 self._live_count -= 1
-                if active is not None:
-                    active.remove(core_id)
+                active.remove(core_id)
                 core_events[core_id] += 1
                 progress += 1
         for core_id in checklist:
@@ -629,10 +541,8 @@ class Machine:
             self._comp_asleep[component] += slept
         self._awake[component] = True
         self._asleep_count -= 1
-        if self._active is not None:
-            insort(self._active, component)
-        if self._wheel is not None:
-            self._wheel.cancel(component)
+        insort(self._active, component)
+        self._wheel.cancel(component)
 
     def _settle_all(self, cycle: int) -> None:
         for component in range(self.config.num_cores):
@@ -669,20 +579,10 @@ def run_policy(
     policy: Policy,
     jobs: Sequence[Optional[Job]],
     max_cycles: int = 3_000_000,
-    fast_forward: Optional[bool] = None,
-    fast_path: Optional[bool] = None,
     audit: Optional[bool] = None,
-    event_wheel: Optional[bool] = None,
-    batch_exec: Optional[bool] = None,
-    hier_wheel: Optional[bool] = None,
+    engine: Optional[EngineSpec] = None,
 ) -> RunResult:
     """Convenience wrapper: build a machine and run it."""
-    return Machine(
-        config,
-        policy,
-        jobs,
-        audit=audit,
-        event_wheel=event_wheel,
-        batch_exec=batch_exec,
-        hier_wheel=hier_wheel,
-    ).run(max_cycles=max_cycles, fast_forward=fast_forward, fast_path=fast_path)
+    return Machine(config, policy, jobs, audit=audit, engine=engine).run(
+        max_cycles=max_cycles
+    )

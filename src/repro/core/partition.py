@@ -17,9 +17,8 @@ running workload receives at least one lane.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.core.roofline import RooflineModel
@@ -27,18 +26,6 @@ from repro.isa.registers import OIValue
 
 #: Gains below this threshold count as "no further performance gain".
 GAIN_EPSILON = 1e-9
-
-
-def default_lane_shards() -> bool:
-    """Whether the sharded lane-bookkeeping fast paths are on by default.
-
-    On unless ``REPRO_NO_LANE_SHARDS`` is set (to any non-empty value).
-    Covers the bulk-round greedy partition below, the co-processor's
-    busy-pool set for CTS arbitration and the lane table's per-owner
-    counters — all bit-identical to the scanning reference paths; the kill
-    switch exists for the differential-fuzz engine matrix.
-    """
-    return not os.environ.get("REPRO_NO_LANE_SHARDS")
 
 
 @lru_cache(maxsize=4096)
@@ -113,7 +100,7 @@ def greedy_partition(
     demands: Mapping[int, OIValue],
     total_lanes: int,
     roofline: RooflineModel,
-    sharded: Optional[bool] = None,
+    sharded: bool = True,
 ) -> Dict[int, int]:
     """Partition ``total_lanes`` ExeBUs across the running phases.
 
@@ -121,8 +108,8 @@ def greedy_partition(
     without a running phase must not appear.  Returns core id -> lane count.
     Raises when more phases run than lanes exist (cannot satisfy the
     one-lane-minimum constraint of Eq. 1).  ``sharded`` selects the
-    bulk-round fast path (default :func:`default_lane_shards`), bit-identical
-    to the lane-by-lane reference rounds below.
+    bulk-round fast path (engine ``lane_shards``), bit-identical to the
+    lane-by-lane reference rounds below.
     """
     active = {core: oi for core, oi in demands.items() if not oi.is_phase_end}
     if not active:
@@ -136,7 +123,7 @@ def greedy_partition(
     plan: Dict[int, int] = {core: 1 for core in active}
     remaining = total_lanes - len(active)
 
-    if default_lane_shards() if sharded is None else sharded:
+    if sharded:
         return _greedy_bulk(active, plan, remaining, roofline)
 
     # Step 2: rounds of marginal-gain allocation.

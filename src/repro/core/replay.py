@@ -46,14 +46,13 @@ Design — record, verify, replay, roll back:
 
 EM-SIMD instructions (``MSR <OI>``/``MSR <VL>``) *executing* during the
 recorded period poison the template, so lane re-partitioning always takes
-the slow path.  ``REPRO_NO_LOOP_REPLAY=1`` (or ``fast_path=False``)
-disables the whole mechanism; the determinism suite pins both switches
+the slow path.  ``REPRO_NO_LOOP_REPLAY=1`` (engine ``fast_path``)
+disables the whole mechanism; the determinism suite pins both settings
 against each other.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -88,16 +87,6 @@ MAX_PROBE_STRIDE = 256
 #: to reach steady state; repeated suspension re-arms at the longest
 #: escalated period.
 SUSPEND_CYCLES = 4096
-
-
-def default_loop_replay() -> bool:
-    """Whether :meth:`Machine.run` replays steady loops by default.
-
-    On unless ``REPRO_NO_LOOP_REPLAY`` is set (to any non-empty value);
-    replay-on and replay-off are bit-identical — the switch exists for the
-    determinism layer and for debugging the replay engine itself.
-    """
-    return not os.environ.get("REPRO_NO_LOOP_REPLAY")
 
 
 @dataclass

@@ -35,7 +35,6 @@ Both paths are bit-identical — the determinism suite asserts it.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,17 +69,6 @@ _STALL = object()
 
 #: Elements per 128-bit lane for 32-bit data.
 ELEMS_PER_LANE = 4
-
-
-def default_pre_decode() -> bool:
-    """Whether cores execute via the pre-decoded dispatch table.
-
-    On unless ``REPRO_NO_PRE_DECODE`` is set (to any non-empty value);
-    the two paths are bit-identical — the switch exists so the
-    determinism layer can pin the decoded path against the seed
-    interpreter.
-    """
-    return not os.environ.get("REPRO_NO_PRE_DECODE")
 
 
 #: Scalar ALU semantics, shared by the seed interpreter and the decoded
@@ -205,7 +193,7 @@ class ScalarCore:
         coproc: CoProcessor,
         metrics: Metrics,
         config: CoreConfig,
-        pre_decode: Optional[bool] = None,
+        pre_decode: bool = True,
     ) -> None:
         self.core_id = core_id
         self.program = program
@@ -224,7 +212,7 @@ class ScalarCore:
         self.retired_vector = 0
         self._monitor_idx = frozenset(program.meta.get("monitor", ()))
         self._reconfig_idx = frozenset(program.meta.get("reconfig", ()))
-        self.pre_decode = default_pre_decode() if pre_decode is None else pre_decode
+        self.pre_decode = pre_decode
         #: Replay hooks: ``on_backedge(core_id, from_pc, target_pc, cycle)``
         #: fires when a taken branch jumps backwards; ``recorder`` (when
         #: set) receives an ``on_exec`` call per retired instruction.

@@ -1,19 +1,11 @@
 """Cross-engine differential fuzzing (``python -m repro diff-fuzz``).
 
-The simulator can execute one program ninety-six ways: the scalar cores
-run either the seed interpreter or the pre-decoded dispatch table
-(``REPRO_NO_PRE_DECODE``), idle stretches are either stepped or
-fast-forwarded (``fast_forward``), steady loops are either stepped or
-replayed from verified templates (``fast_path``), the run loop is either
-the reference every-cycle tick or the tickless event wheel with ready-set
-dispatch indexing (``REPRO_NO_EVENT_WHEEL``), the co-processor dispatches
-either per-uop or through the opcode-grouped batch-execute backend
-(``REPRO_NO_BATCH_EXEC``), the tickless wheel optionally upgrades to the
-hierarchical wake index with active-list iteration
-(``REPRO_NO_HIER_WHEEL``, meaningful only on top of the event wheel), and
-the lane bookkeeping is either scanning or sharded — bulk-round greedy
-partition, busy-pool CTS arbitration, per-owner lane counters
-(``REPRO_NO_LANE_SHARDS``).  All ninety-six are promised bit-identical.
+The simulator can execute one program through any combination of six
+engine layers (:mod:`repro.core.engine`): pre-decoded dispatch,
+idle fast-forward, loop replay, the tickless event wheel, batch execute
+and sharded lane bookkeeping.  Every combination is promised
+bit-identical to the seed engine.
+
 This module generates randomized multi-phase co-running programs, runs
 each through every engine combination under every sharing mode, and diffs
 the complete run fingerprint (architectural memory state, metrics, lane
@@ -28,15 +20,20 @@ and a minimized spec can be pasted verbatim into a regression test.
 
 from __future__ import annotations
 
-import os
+import itertools
 import random
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import MachineConfig, experiment_config
 from repro.compiler.ir import Kernel
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
+from repro.core.engine import (
+    BASELINE_ENGINE,
+    ENGINE_KILL_SWITCH_ENV,
+    FULL_ENGINE,
+    EngineSpec,
+)
 from repro.core.machine import Job, Machine
 from repro.core.policies import policy
 from repro.validation.fingerprint import (
@@ -60,101 +57,17 @@ STREAMING_TRIPS = (192, 320, 512)
 RESIDENT_TRIPS = (96, 160, 256)
 
 
-@dataclass(frozen=True)
-class EngineSpec:
-    """One of the ninety-six engine combinations."""
-
-    pre_decode: bool
-    fast_forward: bool
-    fast_path: bool
-    event_wheel: bool = False
-    batch_exec: bool = False
-    hier_wheel: bool = False
-    lane_shards: bool = False
-
-    @property
-    def label(self) -> str:
-        parts = []
-        if self.pre_decode:
-            parts.append("decode")
-        if self.fast_forward:
-            parts.append("ff")
-        if self.fast_path:
-            parts.append("replay")
-        if self.event_wheel:
-            parts.append("wheel")
-        if self.batch_exec:
-            parts.append("batch")
-        if self.hier_wheel:
-            parts.append("hier")
-        if self.lane_shards:
-            parts.append("shards")
-        return "+".join(parts) if parts else "interp"
-
-
-#: Kill-switch environment variable per :class:`EngineSpec` axis.  Every
-#: axis must have one — the result-cache key coverage test asserts this
-#: mapping stays total, so a new engine cannot silently poison cached
-#: results or escape the fuzz matrix.
-ENGINE_KILL_SWITCH_ENV: Dict[str, str] = {
-    "pre_decode": "REPRO_NO_PRE_DECODE",
-    "fast_forward": "REPRO_NO_FAST_FORWARD",
-    "fast_path": "REPRO_NO_LOOP_REPLAY",
-    "event_wheel": "REPRO_NO_EVENT_WHEEL",
-    "batch_exec": "REPRO_NO_BATCH_EXEC",
-    "hier_wheel": "REPRO_NO_HIER_WHEEL",
-    "lane_shards": "REPRO_NO_LANE_SHARDS",
-}
-
-#: The seed engine: interpreter, cycle by cycle, no replay, no wheel,
-#: per-uop dispatch, scanning lane bookkeeping.
-BASELINE_ENGINE = EngineSpec(pre_decode=False, fast_forward=False, fast_path=False)
-
-#: Every *valid* non-baseline combination, cheapest first.  The
-#: hierarchical wheel rides on top of the event wheel — ``hier_wheel``
-#: without ``event_wheel`` is latched off at construction, so those
-#: duplicate combinations are excluded rather than fuzzed twice.
+#: Every non-baseline combination of the engine axes.
 FAST_ENGINES: Tuple[EngineSpec, ...] = tuple(
-    EngineSpec(
-        pre_decode,
-        fast_forward,
-        fast_path,
-        event_wheel,
-        batch_exec,
-        hier_wheel,
-        lane_shards,
-    )
-    for lane_shards in (False, True)
-    for hier_wheel in (False, True)
-    for batch_exec in (False, True)
-    for event_wheel in (False, True)
-    for pre_decode in (False, True)
-    for fast_forward in (False, True)
-    for fast_path in (False, True)
-    if (event_wheel or not hier_wheel)
-    and any(
-        (
-            pre_decode,
-            fast_forward,
-            fast_path,
-            event_wheel,
-            batch_exec,
-            hier_wheel,
-            lane_shards,
-        )
-    )
+    EngineSpec(**dict(zip(ENGINE_KILL_SWITCH_ENV, flags)))
+    for flags in itertools.product((False, True), repeat=len(ENGINE_KILL_SWITCH_ENV))
+    if any(flags)
 )
 
 #: Curated engine subset for expensive sweeps (e.g. the 16-core diff-fuzz
-#: CI smoke): the seed-adjacent extremes plus each new axis isolated and
-#: ablated from the everything-on stack.
-KEY_ENGINES: Tuple[EngineSpec, ...] = (
-    EngineSpec(True, True, True, True, True, True, True),  # everything on
-    EngineSpec(True, True, True, True, True, False, False),  # pre-PR-9 stack
-    EngineSpec(False, False, False, True, False, True, False),  # hier wheel alone
-    EngineSpec(False, False, False, False, False, False, True),  # shards alone
-    EngineSpec(True, True, True, True, True, True, False),  # all minus shards
-    EngineSpec(True, True, True, True, True, False, True),  # all minus hier
+#: CI smoke): the full stack plus one leave-one-out per layer.
+KEY_ENGINES: Tuple[EngineSpec, ...] = (FULL_ENGINE,) + tuple(
+    replace(FULL_ENGINE, **{axis: False}) for axis in ENGINE_KILL_SWITCH_ENV
 )
 
 
@@ -295,41 +208,6 @@ def case_kernels(spec: CaseSpec) -> List[Optional[Kernel]]:
 # --- engine execution -------------------------------------------------------
 
 
-#: Engine axes selected through the environment at construction time:
-#: ``REPRO_NO_PRE_DECODE`` is read at ``ScalarCore`` construction,
-#: ``REPRO_NO_EVENT_WHEEL``, ``REPRO_NO_BATCH_EXEC`` and
-#: ``REPRO_NO_HIER_WHEEL`` at ``Machine`` construction, and
-#: ``REPRO_NO_LANE_SHARDS`` at ``CoProcessor``/lane-manager construction.
-#: (``fast_forward``/``fast_path`` are ``run()`` arguments.)
-_CONSTRUCTION_AXES: Tuple[str, ...] = (
-    "pre_decode",
-    "event_wheel",
-    "batch_exec",
-    "hier_wheel",
-    "lane_shards",
-)
-
-
-@contextmanager
-def _engine_env(engine: EngineSpec):
-    """Select the construction-time engine switches before building the
-    machine, restoring the caller's environment afterwards."""
-    saved: Dict[str, Optional[str]] = {}
-    for axis in _CONSTRUCTION_AXES:
-        var = ENGINE_KILL_SWITCH_ENV[axis]
-        saved[var] = os.environ.pop(var, None)
-        if not getattr(engine, axis):
-            os.environ[var] = "1"
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
 class CompiledCase:
     """One spec compiled once; images are rebuilt fresh for every run."""
 
@@ -367,13 +245,10 @@ class CompiledCase:
         audit: Optional[bool] = None,
     ):
         """One simulation of this case under ``policy_key`` on ``engine``."""
-        with _engine_env(engine):
-            machine = Machine(self.config, policy(policy_key), self.jobs(), audit=audit)
-            return machine.run(
-                max_cycles=max_cycles,
-                fast_forward=engine.fast_forward,
-                fast_path=engine.fast_path,
-            )
+        machine = Machine(
+            self.config, policy(policy_key), self.jobs(), audit=audit, engine=engine
+        )
+        return machine.run(max_cycles=max_cycles)
 
 
 def check_case(

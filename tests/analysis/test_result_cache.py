@@ -76,10 +76,12 @@ def test_key_covers_engine_kill_switches(config, monkeypatch):
     enabled, even though the runs are promised bit-identical — a cache hit
     would mask exactly the divergence the diff-fuzzer exists to catch.
 
-    Driven by the ``ENGINE_SWITCHES`` registry, so a newly registered
-    engine is covered automatically."""
+    Driven by the ``ENGINE_KILL_SWITCH_ENV`` registry, so a newly
+    registered engine is covered automatically."""
+    from repro.core.engine import ENGINE_KILL_SWITCH_ENV
+
     jobs = [compiled_job(make_axpy(length=64)), None]
-    switches = [flag for flag, _ in result_cache.ENGINE_SWITCHES]
+    switches = list(ENGINE_KILL_SWITCH_ENV.values())
     for flag in switches:
         monkeypatch.delenv(flag, raising=False)
     base = simulation_key(config, PRIVATE.key, jobs)
@@ -94,20 +96,15 @@ def test_key_covers_engine_kill_switches(config, monkeypatch):
 
 
 def test_engine_switch_registry_is_complete():
-    """Every engine axis the diff-fuzzer exercises must have its kill
-    switch folded into the cache key.  A new ``EngineSpec`` field that is
-    missing from either registry fails here loudly instead of silently
+    """Every ``EngineSpec`` field has a kill switch, so every engine axis
+    the diff-fuzzer exercises is folded into the cache key.  A new field
+    missing from the registry fails here loudly instead of silently
     serving stale cross-engine cache hits."""
-    from repro.validation.difftest import ENGINE_KILL_SWITCH_ENV, EngineSpec
+    from repro.core.engine import ENGINE_KILL_SWITCH_ENV, EngineSpec
 
-    registered = {flag for flag, _ in result_cache.ENGINE_SWITCHES}
-    assert registered == set(ENGINE_KILL_SWITCH_ENV.values())
-    axes = {field.name for field in dataclasses.fields(EngineSpec)}
-    assert set(ENGINE_KILL_SWITCH_ENV.keys()) == axes
-    # The registered defaults must be the very callables the engines
-    # consult, not stale copies.
-    for flag, default in result_cache.ENGINE_SWITCHES:
-        assert callable(default), flag
+    axes = [field.name for field in dataclasses.fields(EngineSpec)]
+    assert list(ENGINE_KILL_SWITCH_ENV) == axes
+    assert len(set(ENGINE_KILL_SWITCH_ENV.values())) == len(axes)
 
 
 def test_version_bump_invalidates_entries(cache, config, small_run, monkeypatch):

@@ -1,6 +1,6 @@
 """Sharded lane bookkeeping must equal the scanning reference paths.
 
-The ``REPRO_NO_LANE_SHARDS`` axis covers three incremental structures:
+The ``lane_shards`` engine axis (``REPRO_NO_LANE_SHARDS``) covers three incremental structures:
 the lane table's per-owner counters, the bulk-round greedy partition and
 the co-processor's busy-pool set for CTS arbitration.  Each has a
 from-scratch counterpart these tests diff against.
@@ -116,16 +116,15 @@ class TestKillSwitch:
         jobs = [compiled_job(make_axpy(128), 0), None]
         monkeypatch.setenv("REPRO_NO_LANE_SHARDS", "1")
         machine = Machine(config, policy("occamy"), jobs)
-        manager = ElasticLaneManager(RooflineModel.from_config(config), 32)
-        assert machine.coproc._lane_shards is False
+        assert machine.engine.lane_shards is False
         assert machine.coproc._busy_pools is None
-        assert manager.sharded is False
+        assert machine.lane_manager.sharded is False
         monkeypatch.delenv("REPRO_NO_LANE_SHARDS", raising=False)
-        assert machine.coproc._lane_shards is False  # latched, not re-read
-        assert manager.sharded is False
+        assert machine.engine.lane_shards is False  # latched, not re-read
+        assert machine.lane_manager.sharded is False
         machine = Machine(config, policy("occamy"), jobs)
-        assert machine.coproc._lane_shards is True
         assert machine.coproc._busy_pools == set()
+        assert machine.lane_manager.sharded is True
         assert ElasticLaneManager(RooflineModel.from_config(config), 32).sharded
 
     def test_fingerprints_identical_with_and_without(self, monkeypatch):

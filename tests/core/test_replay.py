@@ -1,7 +1,10 @@
 """The steady-state loop-replay engine (busy-cycle fast path, level 2)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.engine import FULL_ENGINE
 from repro.core.machine import Machine, run_policy
 from repro.core.policies import OCCAMY
 from repro.core.replay import (
@@ -9,7 +12,6 @@ from repro.core.replay import (
     MAX_PROBE_STRIDE,
     ReplayController,
     ReplayProfile,
-    default_loop_replay,
 )
 from tests.conftest import compiled_job, make_axpy, run_fingerprint
 
@@ -18,6 +20,8 @@ from tests.conftest import compiled_job, make_axpy, run_fingerprint
 #: passes contain no narrower tail load to break the timing period.
 STEADY_LENGTH = 6144
 STEADY_REPEATS = 8
+
+NO_REPLAY = replace(FULL_ENGINE, fast_path=False)
 
 
 def _steady_jobs():
@@ -59,8 +63,8 @@ class TestEngagement:
 
 class TestBitExactness:
     def test_replay_matches_slow_path(self, config):
-        slow = run_policy(config, OCCAMY, _steady_jobs(), fast_path=False)
-        fast = run_policy(config, OCCAMY, _steady_jobs(), fast_path=True)
+        slow = run_policy(config, OCCAMY, _steady_jobs(), engine=NO_REPLAY)
+        fast = run_policy(config, OCCAMY, _steady_jobs(), engine=FULL_ENGINE)
         assert run_fingerprint(fast) == run_fingerprint(slow)
 
     def test_aperiodic_tail_still_exact(self, config):
@@ -70,18 +74,16 @@ class TestBitExactness:
         def jobs():
             return [compiled_job(make_axpy(4000, 4), 0), None]
 
-        slow = run_policy(config, OCCAMY, jobs(), fast_path=False)
-        fast = run_policy(config, OCCAMY, jobs(), fast_path=True)
+        slow = run_policy(config, OCCAMY, jobs(), engine=NO_REPLAY)
+        fast = run_policy(config, OCCAMY, jobs(), engine=FULL_ENGINE)
         assert run_fingerprint(fast) == run_fingerprint(slow)
 
     def test_env_kill_switch(self, monkeypatch, config):
         monkeypatch.setenv("REPRO_NO_LOOP_REPLAY", "1")
-        assert default_loop_replay() is False
         machine = Machine(config, OCCAMY, _steady_jobs())
         disabled = machine.run()
         assert machine.profile.replayed_cycles == 0
         monkeypatch.delenv("REPRO_NO_LOOP_REPLAY")
-        assert default_loop_replay() is True
         enabled = run_policy(config, OCCAMY, _steady_jobs())
         assert run_fingerprint(enabled) == run_fingerprint(disabled)
 

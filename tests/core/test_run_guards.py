@@ -10,11 +10,14 @@ a jump with *no* future event is capped at the deadlock horizon and at
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import repro.core.machine as machine_mod
 from repro.common.errors import DeadlockError, SimulationError
 from repro.coproc.dynamic import DynamicInstruction, EntryKind
+from repro.core.engine import FULL_ENGINE
 from repro.core.machine import Machine
 from repro.core.policies import PRIVATE
 
@@ -23,7 +26,11 @@ from tests.conftest import compiled_job, make_axpy
 WINDOW = 5_000
 
 
-def _wedged_machine(config, event_wheel=None) -> Machine:
+def _engine(event_wheel, fast_forward):
+    return replace(FULL_ENGINE, event_wheel=event_wheel, fast_forward=fast_forward)
+
+
+def _wedged_machine(config, engine) -> Machine:
     """A machine guaranteed to stop making progress.
 
     A poison entry sits at core 0's pool head, depending on a "ghost"
@@ -35,7 +42,7 @@ def _wedged_machine(config, event_wheel=None) -> Machine:
         config,
         PRIVATE,
         [compiled_job(make_axpy(length=64)), None],
-        event_wheel=event_wheel,
+        engine=engine,
     )
     ghost = DynamicInstruction(
         seq=-1, core=0, kind=EntryKind.COMPUTE, instr=None, vl_lanes=1,
@@ -67,7 +74,7 @@ def _counting(machine: Machine):
 def test_deadlock_detected(config, monkeypatch, fast_forward, event_wheel):
     monkeypatch.setattr(machine_mod, "DEADLOCK_WINDOW", WINDOW)
     with pytest.raises(DeadlockError):
-        _wedged_machine(config, event_wheel).run(fast_forward=fast_forward)
+        _wedged_machine(config, _engine(event_wheel, fast_forward)).run()
 
 
 def test_deadlock_fires_at_identical_cycle(config, monkeypatch):
@@ -77,7 +84,7 @@ def test_deadlock_fires_at_identical_cycle(config, monkeypatch):
     for event_wheel in (False, True):
         for fast_forward in (False, True):
             with pytest.raises(DeadlockError) as excinfo:
-                _wedged_machine(config, event_wheel).run(fast_forward=fast_forward)
+                _wedged_machine(config, _engine(event_wheel, fast_forward)).run()
             messages.append(str(excinfo.value))
     assert len(set(messages)) == 1
 
@@ -90,16 +97,16 @@ def test_fast_forward_actually_skips(config, monkeypatch):
     components through its own masked loop).
     """
     monkeypatch.setattr(machine_mod, "DEADLOCK_WINDOW", WINDOW)
-    machine = _wedged_machine(config, event_wheel=False)
+    machine = _wedged_machine(config, _engine(event_wheel=False, fast_forward=True))
     calls = _counting(machine)
     with pytest.raises(DeadlockError):
-        machine.run(fast_forward=True)
+        machine.run()
     assert calls["n"] < WINDOW / 10
 
-    slow = _wedged_machine(config, event_wheel=False)
+    slow = _wedged_machine(config, _engine(event_wheel=False, fast_forward=False))
     slow_calls = _counting(slow)
     with pytest.raises(DeadlockError):
-        slow.run(fast_forward=False)
+        slow.run()
     assert slow_calls["n"] > WINDOW  # the cycle-by-cycle loop really loops
 
 
@@ -110,10 +117,10 @@ def test_max_cycles_budget(config, fast_forward, event_wheel):
         config,
         PRIVATE,
         [compiled_job(make_axpy(length=64)), None],
-        event_wheel=event_wheel,
+        engine=_engine(event_wheel, fast_forward),
     )
     with pytest.raises(SimulationError, match="exceeded 50 cycles"):
-        machine.run(max_cycles=50, fast_forward=fast_forward)
+        machine.run(max_cycles=50)
 
 
 def test_max_cycles_metrics_identical(config):
@@ -125,10 +132,10 @@ def test_max_cycles_metrics_identical(config):
                 config,
                 PRIVATE,
                 [compiled_job(make_axpy(length=256)), None],
-                event_wheel=event_wheel,
+                engine=_engine(event_wheel, fast_forward),
             )
             with pytest.raises(SimulationError):
-                machine.run(max_cycles=200, fast_forward=fast_forward)
+                machine.run(max_cycles=200)
             m = machine.metrics
             counters.append(
                 (

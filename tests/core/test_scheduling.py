@@ -85,16 +85,24 @@ class TestScheduling:
 
 
 class TestHierarchicalWheel:
-    """The two-level wake index is a drop-in for the flat wheel."""
+    """The two-level wake index behaves like a plain component->wake map."""
 
     def test_matches_flat_wheel_on_randomized_schedules(self):
+        """Random schedule/cancel/due sequences against a flat dict model:
+        the next wake is the minimum, the due set every wake ``<= cycle``."""
         import random
 
-        from repro.core.scheduling import EventWheel, HierarchicalEventWheel
+        from repro.core.scheduling import HierarchicalEventWheel
+
+        def pop_due(model, clock):
+            due = sorted(c for c, w in model.items() if w <= clock)
+            for component in due:
+                del model[component]
+            return due
 
         for seed in range(20):
             rng = random.Random(seed)
-            flat = EventWheel()
+            model = {}
             hier = HierarchicalEventWheel(group_size=rng.choice((1, 2, 4, 7)))
             clock = 0
             for _ in range(300):
@@ -102,28 +110,28 @@ class TestHierarchicalWheel:
                 component = rng.randrange(64)
                 if action < 0.55:
                     cycle = clock + rng.randrange(1, 400)
-                    flat.schedule(component, cycle)
+                    model[component] = cycle
                     hier.schedule(component, cycle)
                 elif action < 0.75:
-                    flat.cancel(component)
+                    model.pop(component, None)
                     hier.cancel(component)
                 else:
                     # Advance to (or past) the next wake and pop, the way
                     # the tickless run loop drives the wheel.
-                    target = flat.next_wake()
+                    target = min(model.values(), default=None)
                     assert hier.next_wake() == target
                     if target is None:
                         continue
                     clock = target + rng.choice((0, 0, 0, 3, 17))
-                    assert hier.due(clock) == flat.due(clock)
-                assert len(hier) == len(flat)
-                assert hier.wake_of(component) == flat.wake_of(component)
-                assert hier.next_wake() == flat.next_wake()
+                    assert hier.due(clock) == pop_due(model, clock)
+                assert len(hier) == len(model)
+                assert hier.wake_of(component) == model.get(component)
+                assert hier.next_wake() == min(model.values(), default=None)
             # Drain both: the full remaining wake sequence must agree.
-            while flat.next_wake() is not None:
-                target = flat.next_wake()
+            while model:
+                target = min(model.values())
                 assert hier.next_wake() == target
-                assert hier.due(target) == flat.due(target)
+                assert hier.due(target) == pop_due(model, target)
             assert hier.next_wake() is None
             assert len(hier) == 0
 
@@ -146,49 +154,3 @@ class TestHierarchicalWheel:
 
         with pytest.raises(ConfigurationError):
             HierarchicalEventWheel(group_size=0)
-
-    def test_machine_fingerprint_identical_with_and_without(
-        self, config, monkeypatch
-    ):
-        from repro.core.machine import Machine
-        from repro.core.policies import policy
-        from tests.conftest import compiled_job, run_fingerprint
-
-        def run():
-            jobs = [
-                compiled_job(make_axpy(2048), 0),
-                compiled_job(make_reduction(256, 8), 1),
-            ]
-            machine = Machine(config, policy("occamy"), jobs)
-            return run_fingerprint(machine.run())
-
-        monkeypatch.delenv("REPRO_NO_HIER_WHEEL", raising=False)
-        with_hier = run()
-        monkeypatch.setenv("REPRO_NO_HIER_WHEEL", "1")
-        without = run()
-        assert with_hier == without
-
-    def test_kill_switch_latches_at_construction(self, config, monkeypatch):
-        from repro.core.machine import Machine
-        from repro.core.policies import policy
-        from tests.conftest import compiled_job
-
-        jobs = [compiled_job(make_axpy(128), 0), None]
-        monkeypatch.setenv("REPRO_NO_HIER_WHEEL", "1")
-        machine = Machine(config, policy("occamy"), jobs)
-        assert machine._hier_wheel is False
-        monkeypatch.delenv("REPRO_NO_HIER_WHEEL", raising=False)
-        assert machine._hier_wheel is False  # latched, not re-read
-        machine = Machine(config, policy("occamy"), jobs)
-        assert machine._hier_wheel is True
-
-    def test_hier_wheel_requires_event_wheel(self, config, monkeypatch):
-        from repro.core.machine import Machine
-        from repro.core.policies import policy
-        from tests.conftest import compiled_job
-
-        monkeypatch.setenv("REPRO_NO_EVENT_WHEEL", "1")
-        monkeypatch.delenv("REPRO_NO_HIER_WHEEL", raising=False)
-        jobs = [compiled_job(make_axpy(128), 0), None]
-        machine = Machine(config, policy("occamy"), jobs)
-        assert machine._hier_wheel is False

@@ -12,10 +12,13 @@ memory bytes — across strategies.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import experiments
 from repro.analysis.parallel import SimTask, run_tasks
+from repro.core.engine import BASELINE_ENGINE, FULL_ENGINE
 from repro.core.machine import run_policy
 from repro.core.policies import ALL_POLICIES, EXTENDED_POLICIES
 from repro.workloads.pairs import all_pairs, jobs_for_pair
@@ -73,8 +76,9 @@ def test_fast_forward_is_bit_exact(policy, config):
     exercised.
     """
     pair = PAIRS[0]
-    slow = run_policy(config, policy, jobs_for_pair(pair, SCALE), fast_forward=False)
-    fast = run_policy(config, policy, jobs_for_pair(pair, SCALE), fast_forward=True)
+    slow_engine = replace(FULL_ENGINE, fast_forward=False)
+    slow = run_policy(config, policy, jobs_for_pair(pair, SCALE), engine=slow_engine)
+    fast = run_policy(config, policy, jobs_for_pair(pair, SCALE), engine=FULL_ENGINE)
     assert run_fingerprint(fast) == run_fingerprint(slow)
 
 
@@ -87,8 +91,9 @@ def test_loop_replay_is_bit_exact(policy, config):
     against the cycle-by-cycle interpreter.
     """
     pair = PAIRS[0]
-    slow = run_policy(config, policy, jobs_for_pair(pair, SCALE), fast_path=False)
-    fast = run_policy(config, policy, jobs_for_pair(pair, SCALE), fast_path=True)
+    slow_engine = replace(FULL_ENGINE, fast_path=False)
+    slow = run_policy(config, policy, jobs_for_pair(pair, SCALE), engine=slow_engine)
+    fast = run_policy(config, policy, jobs_for_pair(pair, SCALE), engine=FULL_ENGINE)
     assert run_fingerprint(fast) == run_fingerprint(slow)
 
 
@@ -103,20 +108,14 @@ def test_pre_decode_matches_seed_interpreter(policy, config, monkeypatch):
     assert run_fingerprint(decoded) == run_fingerprint(seed)
 
 
-def test_all_fast_paths_off_matches_all_on(config, monkeypatch):
-    """The fully pessimised configuration (seed interpreter, no
-    fast-forward, no loop replay) and the fully optimised default agree."""
+def test_all_fast_paths_off_matches_all_on(config):
+    """The fully pessimised configuration (the seed engine: every layer
+    off) and the fully optimised default agree."""
     pair = PAIRS[0]
     policy = EXTENDED_POLICIES[3]  # occamy
-    monkeypatch.setenv("REPRO_NO_PRE_DECODE", "1")
     baseline = run_policy(
-        config,
-        policy,
-        jobs_for_pair(pair, SCALE),
-        fast_forward=False,
-        fast_path=False,
+        config, policy, jobs_for_pair(pair, SCALE), engine=BASELINE_ENGINE
     )
-    monkeypatch.delenv("REPRO_NO_PRE_DECODE")
     optimised = run_policy(config, policy, jobs_for_pair(pair, SCALE))
     assert run_fingerprint(optimised) == run_fingerprint(baseline)
 
@@ -140,28 +139,20 @@ def test_event_wheel_is_bit_exact(policy, config, monkeypatch):
 def test_event_wheel_env_kill_switch(monkeypatch, config):
     """REPRO_NO_EVENT_WHEEL=1 selects the reference loop — and changes
     nothing observable."""
-    from repro.core.machine import default_event_wheel
-
     monkeypatch.setenv("REPRO_NO_EVENT_WHEEL", "1")
-    assert default_event_wheel() is False
     pair = PAIRS[0]
     reference = run_policy(config, ALL_POLICIES[0], jobs_for_pair(pair, SCALE))
     monkeypatch.delenv("REPRO_NO_EVENT_WHEEL")
-    assert default_event_wheel() is True
     tickless = run_policy(config, ALL_POLICIES[0], jobs_for_pair(pair, SCALE))
     assert run_fingerprint(reference) == run_fingerprint(tickless)
 
 
 def test_fast_forward_env_kill_switch(monkeypatch, config):
     """REPRO_NO_FAST_FORWARD=1 selects the slow path — and changes nothing."""
-    from repro.core.machine import default_fast_forward
-
     monkeypatch.setenv("REPRO_NO_FAST_FORWARD", "1")
-    assert default_fast_forward() is False
     pair = PAIRS[0]
     defaulted = run_policy(config, ALL_POLICIES[0], jobs_for_pair(pair, SCALE))
     monkeypatch.delenv("REPRO_NO_FAST_FORWARD")
-    assert default_fast_forward() is True
     fast = run_policy(config, ALL_POLICIES[0], jobs_for_pair(pair, SCALE))
     assert run_fingerprint(defaulted) == run_fingerprint(fast)
 

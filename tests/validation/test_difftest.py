@@ -1,8 +1,11 @@
 """Cross-engine differential fuzzer: generation, checking, bug detection."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.coproc.metrics import Metrics
+from repro.core.engine import FULL_ENGINE
 from repro.validation.difftest import (
     BASELINE_ENGINE,
     DEFAULT_POLICIES,
@@ -32,24 +35,22 @@ class TestGeneration:
             assert any(program is not None for program in compiled.programs)
 
     def test_engine_matrix_is_complete(self):
-        # 2^7 combinations minus the 32 hier-without-wheel duplicates and
-        # the baseline: ninety-five fast variants, no dupes.
-        assert len(FAST_ENGINES) == 95
+        # 2^6 combinations minus the baseline: sixty-three fast variants,
+        # no dupes, every axis on in half of the product.
+        assert len(FAST_ENGINES) == 63
         assert BASELINE_ENGINE not in FAST_ENGINES
-        assert len(set(FAST_ENGINES)) == 95
-        assert sum(1 for engine in FAST_ENGINES if engine.event_wheel) == 64
-        assert sum(1 for engine in FAST_ENGINES if engine.batch_exec) == 48
-        assert sum(1 for engine in FAST_ENGINES if engine.hier_wheel) == 32
-        assert sum(1 for engine in FAST_ENGINES if engine.lane_shards) == 48
-        # The hierarchical wheel only exists on top of the event wheel.
-        assert all(
-            engine.event_wheel for engine in FAST_ENGINES if engine.hier_wheel
-        )
+        assert len(set(FAST_ENGINES)) == 63
+        assert sum(1 for engine in FAST_ENGINES if engine.event_wheel) == 32
+        assert sum(1 for engine in FAST_ENGINES if engine.batch_exec) == 32
+        assert sum(1 for engine in FAST_ENGINES if engine.lane_shards) == 32
 
     def test_key_engines_are_valid_matrix_members(self):
         from repro.validation.difftest import KEY_ENGINES
 
+        # The full stack plus one leave-one-out per layer.
+        assert len(KEY_ENGINES) == 7
         assert len(set(KEY_ENGINES)) == len(KEY_ENGINES)
+        assert KEY_ENGINES[0] == FULL_ENGINE
         for engine in KEY_ENGINES:
             assert engine in FAST_ENGINES
 
@@ -100,8 +101,6 @@ class TestCtsSwitchDuringSkip:
     def test_spec_exercises_a_mid_skip_switch(self, monkeypatch):
         """The pinned case really does switch quantum while a component
         sleeps — otherwise it regresses nothing."""
-        import os
-
         from repro.core.machine import Machine
         from repro.core.policies import policy
 
@@ -113,10 +112,13 @@ class TestCtsSwitchDuringSkip:
             return original(self, cycle)
 
         monkeypatch.setattr(Machine, "_wake_all_mid_cycle", spy)
-        monkeypatch.setenv("REPRO_NO_PRE_DECODE", "1")
-        monkeypatch.delenv("REPRO_NO_EVENT_WHEEL", raising=False)
         compiled = CompiledCase(CTS_SWITCH_DURING_SKIP)
-        machine = Machine(compiled.config, policy("cts"), compiled.jobs())
+        machine = Machine(
+            compiled.config,
+            policy("cts"),
+            compiled.jobs(),
+            engine=replace(FULL_ENGINE, pre_decode=False),
+        )
         machine.run()
         assert machine.coproc.cts_switches > 0
         assert any(count > 0 for count in sleeper_counts)
@@ -147,18 +149,21 @@ BATCH_ENGINES = tuple(engine for engine in FAST_ENGINES if engine.batch_exec)
 
 
 class TestBatchPlannerPressure:
-    def test_spec_exercises_the_planner_abort_paths(self, monkeypatch):
+    def test_spec_exercises_the_planner_abort_paths(self):
         """The pinned case really does hit rename and store-queue walls
         while dispatching in batches — otherwise it regresses nothing."""
         from repro.coproc.metrics import StallReason
         from repro.core.machine import Machine
         from repro.core.policies import policy
 
-        monkeypatch.setenv("REPRO_NO_EVENT_WHEEL", "1")
-        monkeypatch.delenv("REPRO_NO_BATCH_EXEC", raising=False)
         compiled = CompiledCase(BATCH_PLANNER_PRESSURE)
-        machine = Machine(compiled.config, policy("fts"), compiled.jobs())
-        machine.run(fast_forward=True, fast_path=True)
+        machine = Machine(
+            compiled.config,
+            policy("fts"),
+            compiled.jobs(),
+            engine=replace(FULL_ENGINE, event_wheel=False),
+        )
+        machine.run()
 
         stalls = {}
         for core in range(machine.config.num_cores):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import InvariantViolation
+from repro.core.engine import FULL_ENGINE
 from repro.core.machine import Machine, run_policy
 from repro.core.policies import policy
 from repro.validation.fingerprint import run_fingerprint
@@ -81,12 +82,7 @@ class TestCleanRuns:
             compiled_job(make_axpy(length=256), core_id=1),
         ]
         result = run_policy(
-            config,
-            policy("occamy"),
-            jobs,
-            fast_forward=True,
-            fast_path=True,
-            audit=True,
+            config, policy("occamy"), jobs, audit=True, engine=FULL_ENGINE
         )
         assert result.total_cycles > 0
 
